@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"time"
 
 	"lpp/internal/torture"
@@ -26,7 +27,9 @@ type hostileReport struct {
 
 // runHostile executes the differential torture harness — offline,
 // streaming, and HTTP paths over the hostile families — and writes
-// BENCH_hostile.json. An empty family runs all three.
+// BENCH_hostile.json. An empty family runs all three. The report is
+// written even when a family's HTTP path diverged; the divergence is
+// then returned as an error so the run fails.
 func runHostile(outDir, family string) error {
 	start := time.Now()
 	rep := hostileReport{
@@ -75,7 +78,22 @@ func runHostile(outDir, family string) error {
 		return err
 	}
 	fmt.Printf("wrote %s\n", out)
-	return nil
+	return parityError(rep.Families)
+}
+
+// parityError names every family whose chunked HTTP event stream
+// differs from the direct detector's, or returns nil when all match.
+func parityError(families []*torture.Report) error {
+	var diverged []string
+	for _, r := range families {
+		if !r.HTTPParity {
+			diverged = append(diverged, r.Family)
+		}
+	}
+	if len(diverged) == 0 {
+		return nil
+	}
+	return fmt.Errorf("HTTP parity diverged on %s", strings.Join(diverged, ", "))
 }
 
 // listHostile prints the hostile families for -hostile -list style use.

@@ -1,5 +1,7 @@
 // Command lppbench regenerates the tables and figures of the paper's
-// evaluation section.
+// evaluation section. Throughput and latency of the offline, streaming
+// and clustered paths are measured by the benchmark in lppperf/ (run
+// it with `bash lppperf/run.sh`; see lppperf/README.md).
 //
 // Usage:
 //
@@ -9,11 +11,7 @@
 //	lppbench -out results/      # also write CSV artifacts
 //	lppbench -j 8               # analysis worker pool (default GOMAXPROCS)
 //	lppbench -list              # list experiments
-//	lppbench -offline           # offline-pipeline benchmark, write BENCH_offline.json
 //	lppbench -warmstart         # knowledge-store warm-start benchmark, write BENCH_warmstart.json
-//	lppbench -stream t.trace    # replay a trace against lppserve, write BENCH_stream.json
-//	lppbench -sessions 8 -concurrency 8   # concurrent multi-session ingest, write BENCH_ingest.json
-//	lppbench -cluster           # routed 3-node chaos benchmark, write BENCH_cluster.json
 //	lppbench -hostile [-family drift]     # differential torture harness, write BENCH_hostile.json
 package main
 
@@ -31,28 +29,17 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "comma-separated experiment names (default all)")
-		quick    = flag.Bool("quick", false, "shrink inputs for a fast run")
-		out      = flag.String("out", "", "directory for CSV/SVG artifacts")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "analysis worker-pool size; 1 = strictly sequential (output is identical at any setting)")
-		html     = flag.String("html", "", "write a self-contained HTML report to this file (needs -out)")
-		offline  = flag.Bool("offline", false, "benchmark the offline pipeline at -j 1 vs -j N (writes BENCH_offline.json)")
-		warm     = flag.Bool("warmstart", false, "benchmark knowledge-store warm starts on the golden workloads (writes BENCH_warmstart.json)")
-		stream   = flag.String("stream", "", "trace file to replay against lppserve (see -addr)")
-		addr     = flag.String("addr", "", "lppserve address for -stream/-sessions (default: in-process server)")
-		chunkLen = flag.Int("chunk", 16384, "events per chunk for -stream and -sessions")
-		sessions = flag.Int("sessions", 0, "multi-session ingest load mode: number of sessions (writes BENCH_ingest.json)")
-		cluster  = flag.Bool("cluster", false, "routed 3-node cluster: kill a node mid-ingest, live-migrate a session under load, verify zero loss (writes BENCH_cluster.json)")
-		conc     = flag.Int("concurrency", 0, "concurrent sessions in flight for -sessions (default: all)")
-		shards   = flag.Int("shards", 0, "session-table shard count for the in-process server (0 = server default)")
-		perSess  = flag.Int("events", 200_000, "events per session for -sessions")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
-		hostile  = flag.Bool("hostile", false, "run the differential torture harness over the hostile families (writes BENCH_hostile.json)")
-		family   = flag.String("family", "", "restrict -hostile to one family: interleaved, drift, or adaptive")
-		format   = flag.String("format", "v2", "chunk wire format for -stream/-sessions: v1 (row binary) or v2 (columnar)")
-		minScale = flag.Float64("minscale", 0, "fail if the best multi-core scaling point is below this multiple of single-core throughput (0 = no check; skipped on single-CPU hosts)")
+		exp     = flag.String("exp", "", "comma-separated experiment names (default all)")
+		quick   = flag.Bool("quick", false, "shrink inputs for a fast run")
+		out     = flag.String("out", "", "directory for CSV/SVG artifacts")
+		list    = flag.Bool("list", false, "list experiments and exit")
+		jobs    = flag.Int("j", runtime.GOMAXPROCS(0), "analysis worker-pool size; 1 = strictly sequential (output is identical at any setting)")
+		html    = flag.String("html", "", "write a self-contained HTML report to this file (needs -out)")
+		warm    = flag.Bool("warmstart", false, "benchmark knowledge-store warm starts on the golden workloads (writes BENCH_warmstart.json)")
+		cpuProf = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProf = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
+		hostile = flag.Bool("hostile", false, "run the differential torture harness over the hostile families (writes BENCH_hostile.json)")
+		family  = flag.String("family", "", "restrict -hostile to one family: interleaved, drift, or adaptive")
 	)
 	flag.Parse()
 	if *jobs < 1 {
@@ -64,13 +51,6 @@ func main() {
 		fatal(err)
 	}
 	defer stopProf()
-
-	if *offline {
-		if err := runOffline(*out, *jobs, *quick, *minScale); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	if *warm {
 		if err := runWarmstartBench(*out); err != nil {
@@ -85,27 +65,6 @@ func main() {
 			return
 		}
 		if err := runHostile(*out, *family); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *cluster {
-		if err := runCluster(*out, *perSess, *chunkLen); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *sessions > 0 {
-		if err := runIngest(*addr, *out, *sessions, *conc, *shards, *perSess, *chunkLen, *format, *minScale); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *stream != "" {
-		if err := runStream(*stream, *addr, *out, *chunkLen, *format, *minScale); err != nil {
 			fatal(err)
 		}
 		return

@@ -13,6 +13,10 @@ import (
 	"time"
 )
 
+// numShards is the session table's stripe count, a power of two so
+// shardIndex can mask the ID hash.
+const numShards = 16
+
 // shard is one lock stripe of the session table. Sessions are assigned
 // by a hash of their ID, so two sessions on different shards never
 // contend on a table lock — only the global counters (atomics) are
@@ -44,12 +48,12 @@ func fnv1a(s string) uint32 {
 // shardFor returns the stripe owning id. The shard count is a power of
 // two, so the mask keeps the mapping branch-free.
 func (s *Server) shardFor(id string) *shard {
-	return &s.shards[fnv1a(id)&s.shardMask]
+	return &s.shards[s.shardIndex(id)]
 }
 
 // shardIndex is shardFor as an index, for the per-shard metrics rings.
 func (s *Server) shardIndex(id string) int {
-	return int(fnv1a(id) & s.shardMask)
+	return int(fnv1a(id) & (numShards - 1))
 }
 
 // drainSessions atomically empties every shard and returns all removed
@@ -67,15 +71,6 @@ func (s *Server) drainSessions() []*session {
 		sh.mu.Unlock()
 	}
 	return all
-}
-
-// nextPow2 rounds n up to a power of two (minimum 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // SessionState is a session's placement state as the registry sees it.

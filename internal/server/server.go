@@ -101,11 +101,6 @@ type Config struct {
 	// ReapInterval is how often the reaper scans for idle sessions
 	// (default IdleTimeout/4, at least 10ms).
 	ReapInterval time.Duration
-	// Shards is the number of lock stripes for the session table
-	// (default 16), rounded up to a power of two. Sessions hash to a
-	// shard by ID; sessions on different shards never contend on a
-	// table lock. 1 reproduces the old single-mutex behavior.
-	Shards int
 	// Advertise is this node's base URL as other cluster members reach
 	// it (e.g. "http://10.0.0.1:8080"). It labels locally-owned
 	// sessions in GET /v1/sessions and the Ownership interface; empty
@@ -145,10 +140,6 @@ func (c Config) withDefaults() Config {
 	if c.CheckpointEvery <= 0 {
 		c.CheckpointEvery = 64
 	}
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
-	c.Shards = nextPow2(c.Shards)
 	if c.ReapInterval <= 0 {
 		c.ReapInterval = c.IdleTimeout / 4
 		if c.ReapInterval < 10*time.Millisecond {
@@ -164,11 +155,9 @@ type Server struct {
 	mux   *http.ServeMux
 	store *durable.Store // nil when ephemeral
 
-	// shards stripes the session table by ID hash (registry.go);
-	// shardMask is len(shards)-1, a power-of-two mask.
-	shards    []shard
-	shardMask uint32
-	closed    atomic.Bool
+	// shards stripes the session table by ID hash (registry.go).
+	shards [numShards]shard
+	closed atomic.Bool
 
 	// placeMu guards the placement maps: sessions this node no longer
 	// (remote) or temporarily doesn't (migrating) own. See registry.go.
@@ -212,14 +201,12 @@ func New(cfg Config) (*Server, error) {
 		mux:  http.NewServeMux(),
 		stop: make(chan struct{}),
 	}
-	s.shards = make([]shard, s.cfg.Shards)
-	s.shardMask = uint32(s.cfg.Shards - 1)
 	for i := range s.shards {
 		s.shards[i].sessions = make(map[string]*session)
 	}
 	s.remote = make(map[string]string)
 	s.migrating = make(map[string]struct{})
-	s.m.rings = make([]latencyRing, s.cfg.Shards)
+	s.m.rings = make([]latencyRing, numShards)
 	if s.cfg.DataDir == "" {
 		if s.cfg.Peer != "" {
 			return nil, errors.New("server: replication (Peer) requires DataDir")
@@ -300,10 +287,6 @@ func New(cfg Config) (*Server, error) {
 
 // Handler returns the HTTP handler for the server.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// ShardCount reports the resolved number of session-table lock stripes
-// (Config.Shards after defaulting and power-of-two rounding).
-func (s *Server) ShardCount() int { return len(s.shards) }
 
 // Advertise returns this node's advertised base URL ("" single-node).
 func (s *Server) Advertise() string { return s.cfg.Advertise }

@@ -26,14 +26,14 @@ func sameShardIDs(s *Server, n int) []string {
 // the stripes — a constant hash would silently reduce the sharded table
 // to one mutex.
 func TestShardDistribution(t *testing.T) {
-	s := mustServer(t, Config{Shards: 8})
+	s := mustServer(t, Config{})
 	defer s.Close()
 	used := make(map[int]bool)
 	for i := 0; i < 64; i++ {
 		used[s.shardIndex(fmt.Sprintf("session-%d", i))] = true
 	}
-	if len(used) < 4 {
-		t.Errorf("64 ids landed on only %d of 8 shards", len(used))
+	if len(used) < numShards/2 {
+		t.Errorf("64 ids landed on only %d of %d shards", len(used), numShards)
 	}
 	if got := s.shardIndex("x"); got != s.shardIndex("x") {
 		t.Error("shard index not stable")
@@ -44,7 +44,7 @@ func TestShardDistribution(t *testing.T) {
 // through the full HTTP path and then verifies per-session event
 // counts: sharding must never cross the streams or lose a chunk.
 func TestConcurrentIngestAcrossShards(t *testing.T) {
-	s := mustServer(t, Config{Shards: 4, QueueDepth: 32})
+	s := mustServer(t, Config{QueueDepth: 32})
 	defer s.Close()
 	h := s.Handler()
 	const sessions = 12
@@ -94,7 +94,7 @@ func TestConcurrentIngestAcrossShards(t *testing.T) {
 // protocol is per-session state owned by the worker; shard-lock
 // contention must not let it misfire.
 func TestContendedShardSeqProtocol(t *testing.T) {
-	s := mustServer(t, Config{Shards: 4, QueueDepth: 32})
+	s := mustServer(t, Config{QueueDepth: 32})
 	defer s.Close()
 	h := s.Handler()
 	ids := sameShardIDs(s, 4)
@@ -153,7 +153,7 @@ func TestContendedShardSeqProtocol(t *testing.T) {
 func TestSessionLimitConcurrent(t *testing.T) {
 	const maxSess = 8
 	const attempts = 32
-	s := mustServer(t, Config{Shards: 8, MaxSessions: maxSess})
+	s := mustServer(t, Config{MaxSessions: maxSess})
 	defer s.Close()
 	h := s.Handler()
 	body := encodeNDJSON(syntheticEvents(3, 1, 1)[:50])
@@ -209,7 +209,7 @@ func TestSessionLimitConcurrent(t *testing.T) {
 // created session may be left running outside the drain.
 func TestCloseRacingCreate(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		s := mustServer(t, Config{Shards: 4})
+		s := mustServer(t, Config{})
 		body := encodeNDJSON(syntheticEvents(4, 1, 1)[:50])
 		var wg sync.WaitGroup
 		for i := 0; i < 4; i++ {
@@ -236,26 +236,6 @@ func TestCloseRacingCreate(t *testing.T) {
 			if n != 0 {
 				t.Fatalf("round %d: shard %d still holds %d sessions after Close", round, i, n)
 			}
-		}
-	}
-}
-
-// TestShardsConfigRounding: shard counts round up to a power of two and
-// Shards=1 degrades to the old single-mutex table.
-func TestShardsConfigRounding(t *testing.T) {
-	for _, c := range []struct{ in, want int }{{0, 16}, {1, 1}, {3, 4}, {8, 8}, {9, 16}} {
-		s := mustServer(t, Config{Shards: c.in})
-		if len(s.shards) != c.want {
-			t.Errorf("Shards %d: got %d stripes, want %d", c.in, len(s.shards), c.want)
-		}
-		s.Close()
-	}
-	one := mustServer(t, Config{Shards: 1})
-	defer one.Close()
-	body := encodeNDJSON(syntheticEvents(5, 1, 1)[:50])
-	for i := 0; i < 3; i++ {
-		if rr := post(t, one.Handler(), fmt.Sprintf("/v1/sessions/m%d/events", i), "", body); rr.Code != http.StatusOK {
-			t.Fatalf("single-shard ingest %d: status %d", i, rr.Code)
 		}
 	}
 }
